@@ -276,9 +276,9 @@ BmcResult BmcEngine::run() {
     if (config_.preprocess.enabled) {
       // The pass ran (cached) inside prepare(); pull its counters.  In a
       // race every entrant reports the same numbers — the simplification
-      // is per-depth, race-wide, like the encode itself.  Incremental
-      // sessions report their depth's DELTA pass (cumulative state, same
-      // race-wide caching).
+      // is per-frame, race-wide, like the encode itself.  Scratch
+      // sessions report their depth-k formula (deltas 0..k summed),
+      // incremental ones the depth's delta alone.
       const PreprocessStats ps =
           config_.incremental ? tape_->incremental_preprocess_stats_at(k)
                               : tape_->preprocess_stats_at(k);

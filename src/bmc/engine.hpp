@@ -107,12 +107,12 @@ struct EngineConfig {
   bool simplify = true;
   /// Tape-level CNF preprocessing (bounded variable elimination,
   /// pure-literal, subsumption / self-subsuming resolution — see
-  /// bmc/preprocess.hpp), run once per depth over the shared tape.
-  /// Scratch sessions replay the whole simplified formula per depth;
-  /// incremental sessions replay simplified per-depth DELTAS under a
-  /// cumulative witness stack — a future frame that re-references an
-  /// eliminated variable transparently resurrects it (see
-  /// SharedTape::replay_simplified_delta).  Off by default (and then
+  /// bmc/preprocess.hpp), run once per frame over the shared tape: each
+  /// depth's clause DELTA is simplified under a cumulative witness
+  /// stack — a future frame that re-references an eliminated variable
+  /// transparently resurrects it (see SharedTape::replay_simplified_delta).
+  /// Scratch sessions replay deltas 0..k into each fresh solver;
+  /// incremental sessions replay one delta per depth.  Off by default (and then
   /// bit-identical to an engine without the pass).
   PreprocessOptions preprocess;
   /// When non-null, this engine replays the given shared formula instead
@@ -233,11 +233,13 @@ struct DepthStats {
   /// encoder removed relative to the unsimplified encoding).
   std::uint64_t simplified_vars_removed = 0;
   std::uint64_t simplified_clauses_removed = 0;
-  /// Tape preprocessing at this depth (zero with preprocess off;
-  /// incremental sessions report the per-depth DELTA pass instead of
-  /// the full-formula one; either pass runs once per depth race-wide
-  /// but its counters are reported identically to every entrant, like
-  /// simplify_us).  lits_strengthened counts self-subsuming resolution
+  /// Tape preprocessing at this depth (zero with preprocess off).
+  /// Scratch sessions report their depth-k formula (counts summed over
+  /// deltas 0..k), incremental sessions the depth's delta alone;
+  /// preprocess_us is the time of the one pass that ran for this depth
+  /// either way.  The pass runs once per frame race-wide but its
+  /// counters are reported identically to every entrant, like
+  /// simplify_us.  lits_strengthened counts self-subsuming resolution
   /// plus unit-propagation strips.
   std::uint64_t vars_eliminated = 0;
   std::uint64_t clauses_subsumed = 0;

@@ -4,7 +4,8 @@
 // The tape pipeline simplifies at the AIG level (constprop, strashing,
 // latch aliasing), but the CNF that reaches the racing solvers is the
 // raw Tseitin encoding.  This pass simplifies the *clause* level once
-// per encoded depth, before replay into a scratch solver:
+// per encoded frame (SharedTape's per-depth deltas), before replay into
+// a scratch or incremental solver:
 //
 //   * unit propagation to fixpoint (root units stay in the output, so
 //     the solver sees the same level-0 facts it would have derived);

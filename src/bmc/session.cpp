@@ -24,6 +24,9 @@ class ScratchSession final : public FormulaSession {
     SolverSink sink(*solver_, origin_);
     const bool preprocessed = tape_.preprocess_options().enabled;
     if (preprocessed) {
+      // The cached per-frame deltas 0..k, the same stream incremental
+      // sessions consume one depth at a time: each frame is simplified
+      // once, not once per depth.
       tape_.replay_simplified_to(k, cursor, sink);
       // Round-trip guard: a fresh replay of the cached simplified
       // stream must land the exact clause count the cache reports —

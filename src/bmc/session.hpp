@@ -4,7 +4,11 @@
 //
 //   * scratch     — a fresh solver per depth, fed by replaying the shared
 //                   tape from the start and asserting the depth-k
-//                   property as a unit (the paper's Fig. 5 discipline);
+//                   property as a unit (the paper's Fig. 5 discipline).
+//                   With tape preprocessing enabled the replay is the
+//                   cached simplified deltas 0..k
+//                   (SharedTape::replay_simplified_to), so each frame is
+//                   simplified once however many depths replay it;
 //   * incremental — one persistent solver fed tape deltas, the depth-k
 //                   property guarded by an activation literal enabled via
 //                   solve-under-assumptions (Eén–Sörensson; the

@@ -125,11 +125,6 @@ void ClauseTape::replay(Cursor& cursor, const Mark& upto,
   cursor.lit = upto.lits;
 }
 
-void ClauseTape::export_clauses(const Mark& upto,
-                                std::vector<std::vector<sat::Lit>>& out) const {
-  export_clauses_range(Mark{}, upto, out);
-}
-
 void ClauseTape::export_clauses_range(
     const Mark& from, const Mark& upto,
     std::vector<std::vector<sat::Lit>>& out) const {
@@ -167,9 +162,7 @@ void SharedTape::recharge_locked() {
         return n;
       };
   std::size_t caches = 0;
-  for (const SimplifiedDepth& s : simplified_)
-    caches += clause_list_bytes(s.result.clauses) + s.cold.capacity();
-  for (const IncDelta& d : inc_deltas_) {
+  for (const Delta& d : deltas_) {
     caches += clause_list_bytes(d.clauses) + d.cold.capacity();
     caches += d.resurrected.capacity() * sizeof(sat::Var) +
               d.kept_new.capacity();
@@ -248,56 +241,23 @@ void SharedTape::build_frozen_locked(int k, std::size_t num_vars,
   }
 }
 
-void SharedTape::ensure_simplified_locked(int k) {
-  ensure_locked(k);
-  const auto idx = static_cast<std::size_t>(k);
-  if (simplified_.size() <= idx) simplified_.resize(idx + 1);
-  if (simplified_[idx].ready) return;
-
-  const ClauseTape::Mark& mark = depth_marks_[idx];
-  obs::TraceSpan span(obs::EventKind::SpanPreprocess, k);
-
-  std::vector<std::vector<sat::Lit>> clauses;
-  tape_.export_clauses(mark, clauses);
-
-  std::vector<char> frozen(mark.vars, 0);
-  build_frozen_locked(k, mark.vars, frozen);
-
-  const TapePreprocessor pp(preprocess_);
-  SimplifiedDepth& s = simplified_[idx];
-  s.result = pp.run(static_cast<int>(mark.vars), clauses, frozen);
-  s.clause_count = s.result.clauses.size();
-  if (cold_) {
-    // The clause list is consumed through replay only; keep it encoded
-    // and decode on demand (the remapper stays hot — model completion
-    // needs it structurally).
-    s.cold = TapeCodec::encode_clauses(s.result.clauses);
-    s.cold.shrink_to_fit();
-    std::vector<std::vector<sat::Lit>>().swap(s.result.clauses);
-    s.is_cold = true;
-  }
-  s.ready = true;
-  span.set_value(static_cast<std::int64_t>(s.clause_count));
-  recharge_locked();
-}
-
-void SharedTape::ensure_inc_delta_locked(int f) {
+void SharedTape::ensure_delta_locked(int f) {
   ensure_locked(f);
   const auto idx = static_cast<std::size_t>(f);
-  if (inc_deltas_.size() <= idx) inc_deltas_.resize(idx + 1);
-  if (inc_deltas_[idx].ready) return;
+  if (deltas_.size() <= idx) deltas_.resize(idx + 1);
+  if (deltas_[idx].ready) return;
   // The cumulative state (remapper, root facts) only makes sense built
   // strictly in depth order; consumers replay deltas in order anyway.
-  if (f > 0) ensure_inc_delta_locked(f - 1);
+  if (f > 0) ensure_delta_locked(f - 1);
 
   const ClauseTape::Mark prev =
       f > 0 ? depth_marks_[idx - 1] : ClauseTape::Mark{};
   const ClauseTape::Mark& mark = depth_marks_[idx];
   obs::TraceSpan span(obs::EventKind::SpanPreprocess, f);
 
-  IncDelta& d = inc_deltas_[idx];
-  inc_remap_.grow(static_cast<int>(mark.vars));
-  inc_assigned_.resize(mark.vars, sat::l_Undef);
+  Delta& d = deltas_[idx];
+  remap_.grow(static_cast<int>(mark.vars));
+  assigned_.resize(mark.vars, sat::l_Undef);
 
   std::vector<std::vector<sat::Lit>> input;
   tape_.export_clauses_range(prev, mark, input);
@@ -313,8 +273,8 @@ void SharedTape::ensure_inc_delta_locked(int f) {
   const auto scan_clause = [&](const std::vector<sat::Lit>& c) {
     for (const sat::Lit l : c) {
       const sat::Var v = l.var();
-      if (inc_remap_.is_kept(v)) continue;
-      VarRemapper::Witness w = inc_remap_.resurrect(v);
+      if (remap_.is_kept(v)) continue;
+      VarRemapper::Witness w = remap_.resurrect(v);
       d.resurrected.push_back(v);
       for (auto& kc : w.clauses) kit.push_back(std::move(kc));
       for (auto& kc : w.removed) kit.push_back(std::move(kc));
@@ -328,36 +288,35 @@ void SharedTape::ensure_inc_delta_locked(int f) {
   if (!kit.empty())
     input.insert(input.begin(), kit.begin(), kit.end());
 
-  // Frozen: the scratch recipe for the new variables, plus EVERY
-  // variable of earlier depths — cross-depth identity is what makes
-  // the persistent solver's clauses stay meaningful, so only this
-  // delta's fresh gate variables are elimination candidates.
+  // Frozen: the recipe above for the new variables, plus EVERY
+  // variable of earlier depths — cross-depth identity is what keeps the
+  // earlier deltas' clauses meaningful, so only this delta's fresh gate
+  // variables are elimination candidates.
   std::vector<char> frozen(mark.vars, 0);
   build_frozen_locked(f, mark.vars, frozen);
   for (std::size_t v = 0; v < prev.vars; ++v) frozen[v] = 1;
 
   const TapePreprocessor pp(preprocess_);
   SimplifyResult result =
-      pp.run(static_cast<int>(mark.vars), input, frozen, &inc_assigned_);
+      pp.run(static_cast<int>(mark.vars), input, frozen, &assigned_);
 
   // Fold the delta's outcome into the cumulative state.  On fallback
   // (contradiction — degenerate input) the raw delta is cached and no
   // new eliminations or facts are recorded; the resurrections above
   // stand either way (the raw delta references those variables too).
   if (!result.fell_back) {
-    for (const auto& w : result.remap.witnesses())
-      inc_remap_.eliminate(w.lit, w.clauses, w.removed);
+    d.eliminated = result.remap.witnesses();
+    for (const auto& w : d.eliminated)
+      remap_.eliminate(w.lit, w.clauses, w.removed);
   }
-  inc_assigned_ = std::move(result.assigned);
+  assigned_ = std::move(result.assigned);
   d.kept_new.assign(mark.vars - prev.vars, 1);
   for (std::size_t v = prev.vars; v < mark.vars; ++v) {
-    if (!inc_remap_.is_kept(static_cast<sat::Var>(v)))
+    if (!remap_.is_kept(static_cast<sat::Var>(v)))
       d.kept_new[v - prev.vars] = 0;
   }
   d.clauses = std::move(result.clauses);
   d.stats = result.stats;
-  d.remap_after = inc_remap_;
-  const std::size_t clause_count = d.clauses.size();
   if (cold_) {
     d.cold = TapeCodec::encode_clauses(d.clauses);
     d.cold.shrink_to_fit();
@@ -365,14 +324,12 @@ void SharedTape::ensure_inc_delta_locked(int f) {
     d.is_cold = true;
   }
   d.ready = true;
-  span.set_value(static_cast<std::int64_t>(clause_count));
+  span.set_value(static_cast<std::int64_t>(d.stats.clauses_in));
   recharge_locked();
 }
 
-void SharedTape::replay_simplified_delta(int f, ClauseTape::Cursor& cursor,
-                                         ClauseSink& out) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  ensure_inc_delta_locked(f);
+void SharedTape::replay_delta_locked(int f, ClauseTape::Cursor& cursor,
+                                     ClauseSink& out) const {
   const auto idx = static_cast<std::size_t>(f);
   const ClauseTape::Mark prev =
       f > 0 ? depth_marks_[idx - 1] : ClauseTape::Mark{};
@@ -380,12 +337,12 @@ void SharedTape::replay_simplified_delta(int f, ClauseTape::Cursor& cursor,
   REFBMC_EXPECTS_MSG(cursor.var_map.size() == prev.vars,
                      "delta replay requires a cursor parked at the "
                      "previous depth's mark");
-  const IncDelta& d = inc_deltas_[idx];
+  const Delta& d = deltas_[idx];
   const auto& origin = tape_.origin();
 
   // Resurrected variables first (the cached delta stream references
   // them), then this delta's surviving variables in tape order —
-  // identical creation order for every incremental consumer.
+  // identical creation order for every consumer.
   for (const sat::Var v : d.resurrected) {
     auto& slot = cursor.var_map[static_cast<std::size_t>(v)];
     REFBMC_ASSERT(slot == sat::kVarUndef);
@@ -407,9 +364,17 @@ void SharedTape::replay_simplified_delta(int f, ClauseTape::Cursor& cursor,
   } else {
     for (const auto& c : d.clauses) emit(c);
   }
-  // Park at the depth mark, exactly like the scratch simplified replay.
+  // Park the cursor at the depth mark: translate() keeps working for
+  // property/bad/latch literals over kept (frozen) variables.
   cursor.op = mark.ops;
   cursor.lit = mark.lits;
+}
+
+void SharedTape::replay_simplified_delta(int f, ClauseTape::Cursor& cursor,
+                                         ClauseSink& out) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  ensure_delta_locked(f);
+  replay_delta_locked(f, cursor, out);
 }
 
 void SharedTape::replay_simplified_to(int k, ClauseTape::Cursor& cursor,
@@ -417,62 +382,64 @@ void SharedTape::replay_simplified_to(int k, ClauseTape::Cursor& cursor,
   const std::lock_guard<std::mutex> lock(mu_);
   REFBMC_EXPECTS_MSG(cursor.op == 0 && cursor.var_map.empty(),
                      "simplified replay requires a fresh consumer");
-  ensure_simplified_locked(k);
-  const ClauseTape::Mark& mark = depth_marks_[static_cast<std::size_t>(k)];
-  const SimplifiedDepth& s = simplified_[static_cast<std::size_t>(k)];
-  const SimplifyResult& res = s.result;
-
-  const auto& origin = tape_.origin();
-  for (std::size_t v = 0; v < mark.vars; ++v) {
-    cursor.var_map.push_back(res.remap.is_kept(static_cast<sat::Var>(v))
-                                 ? out.add_var(origin[v])
-                                 : sat::kVarUndef);
-  }
-  std::vector<sat::Lit> clause;
-  const auto emit = [&](std::span<const sat::Lit> c) {
-    clause.clear();
-    for (const sat::Lit l : c) clause.push_back(cursor.translate(l));
-    out.add_clause(clause);
-  };
-  if (s.is_cold) {
-    TapeCodec::decode_clauses(s.cold, emit);
-  } else {
-    for (const auto& c : res.clauses) emit(c);
-  }
-  // Park the cursor at the depth mark: translate() keeps working for
-  // property/bad/latch literals over kept (frozen) variables.
-  cursor.op = mark.ops;
-  cursor.lit = mark.lits;
+  ensure_delta_locked(k);
+  for (int f = 0; f <= k; ++f) replay_delta_locked(f, cursor, out);
 }
 
 PreprocessStats SharedTape::preprocess_stats_at(int k) {
   const std::lock_guard<std::mutex> lock(mu_);
-  ensure_simplified_locked(k);
-  return simplified_[static_cast<std::size_t>(k)].result.stats;
-}
-
-std::size_t SharedTape::simplified_clauses_at(int k) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  ensure_simplified_locked(k);
-  return simplified_[static_cast<std::size_t>(k)].clause_count;
-}
-
-VarRemapper SharedTape::remapper_at(int k) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  ensure_simplified_locked(k);
-  return simplified_[static_cast<std::size_t>(k)].result.remap;
+  ensure_delta_locked(k);
+  PreprocessStats sum;
+  for (int f = 0; f <= k; ++f) {
+    const PreprocessStats& d = deltas_[static_cast<std::size_t>(f)].stats;
+    sum.vars_eliminated += d.vars_eliminated;
+    sum.pure_literals += d.pure_literals;
+    sum.clauses_subsumed += d.clauses_subsumed;
+    sum.lits_strengthened += d.lits_strengthened;
+    sum.units_propagated += d.units_propagated;
+    sum.clauses_in += d.clauses_in;
+    sum.clauses_out += d.clauses_out;
+    sum.lits_in += d.lits_in;
+    sum.lits_out += d.lits_out;
+  }
+  sum.preprocess_us = deltas_[static_cast<std::size_t>(k)].stats.preprocess_us;
+  return sum;
 }
 
 PreprocessStats SharedTape::incremental_preprocess_stats_at(int k) {
   const std::lock_guard<std::mutex> lock(mu_);
-  ensure_inc_delta_locked(k);
-  return inc_deltas_[static_cast<std::size_t>(k)].stats;
+  ensure_delta_locked(k);
+  return deltas_[static_cast<std::size_t>(k)].stats;
 }
 
-VarRemapper SharedTape::incremental_remapper_at(int k) {
+std::size_t SharedTape::simplified_clauses_at(int k) {
   const std::lock_guard<std::mutex> lock(mu_);
-  ensure_inc_delta_locked(k);
-  return inc_deltas_[static_cast<std::size_t>(k)].remap_after;
+  ensure_delta_locked(k);
+  std::size_t n = 0;
+  for (int f = 0; f <= k; ++f)
+    n += deltas_[static_cast<std::size_t>(f)].stats.clauses_out;
+  return n;
+}
+
+VarRemapper SharedTape::remapper_at(int k) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  ensure_delta_locked(k);
+  // The witness stack as of k: every elimination of deltas 0..k whose
+  // variable no delta <= k resurrected, in elimination order.  (A
+  // resurrected variable is frozen from then on, so each variable is
+  // eliminated at most once.)
+  const std::size_t num_vars = depth_marks_[static_cast<std::size_t>(k)].vars;
+  std::vector<char> resurrected(num_vars, 0);
+  for (int f = 0; f <= k; ++f)
+    for (const sat::Var v : deltas_[static_cast<std::size_t>(f)].resurrected)
+      resurrected[static_cast<std::size_t>(v)] = 1;
+  VarRemapper remap(static_cast<int>(num_vars));
+  for (int f = 0; f <= k; ++f) {
+    for (const auto& w : deltas_[static_cast<std::size_t>(f)].eliminated)
+      if (resurrected[static_cast<std::size_t>(w.lit.var())] == 0)
+        remap.eliminate(w.lit, w.clauses, w.removed);
+  }
+  return remap;
 }
 
 sat::Lit SharedTape::property(int k) {

@@ -14,14 +14,19 @@
 // replay_to() streams a consumer forward.  Replay happens under the lock
 // too — clause copying is orders of magnitude cheaper than solving, so
 // contention is negligible next to the O(P × k²) re-encoding it replaces.
+// With preprocessing on, each frame's clauses are simplified exactly
+// once, when the frame's delta is first asked for: incremental consumers
+// replay the deltas one depth at a time, scratch consumers replay deltas
+// 0..k into their fresh solver — the same cached stream, so the pass's
+// work is linear in depth for both session kinds.
 // Cold storage (PR 10): freeze_prefix() re-encodes an already-replayed
 // event prefix into the compact codec form (tape_codec.hpp) and drops
 // the raw vectors — indices stay absolute, every reader goes through
 // scan(), and late joiners decode transparently.  SharedTape's
 // set_cold_storage(true) freezes each depth's prefix as the next one is
-// encoded and keeps the consumed SimplifiedDepth/IncDelta caches
-// encoded too.  Representation-only: verdicts, counters and replay
-// streams are bit-identical with the mode off or on.
+// encoded and keeps the consumed delta clauses encoded too.
+// Representation-only: verdicts, counters and replay streams are
+// bit-identical with the mode off or on.
 #pragma once
 
 #include <cstdint>
@@ -87,13 +92,8 @@ class ClauseTape final : public ClauseSink {
   /// Replays events in [cursor, upto) into `out`, advancing the cursor.
   void replay(Cursor& cursor, const Mark& upto, ClauseSink& out) const;
 
-  /// Copies the clauses recorded up to `upto`, in tape variable space
-  /// (the preprocessing pass consumes them without a sink).
-  void export_clauses(const Mark& upto,
-                      std::vector<std::vector<sat::Lit>>& out) const;
-
   /// Copies the clauses recorded in (from, upto], in tape variable
-  /// space — one depth's delta for the incremental preprocessing pass.
+  /// space — one depth's delta for the preprocessing pass.
   void export_clauses_range(const Mark& from, const Mark& upto,
                             std::vector<std::vector<sat::Lit>>& out) const;
 
@@ -186,51 +186,44 @@ class SharedTape {
   /// `out`, advancing `cursor`.  Thread-safe.
   void replay_to(int k, ClauseTape::Cursor& cursor, ClauseSink& out);
 
+  /// Replays the PREPROCESSED DELTA of depth f — the clauses frame f
+  /// added on top of frame f-1, simplified against everything already
+  /// replayed — into a consumer whose cursor is parked at depth f-1's
+  /// mark (or fresh, for f = 0).  The simplification state is
+  /// cumulative: root facts from earlier deltas seed the pass, the
+  /// VarRemapper witness stack is shared across depths, and a delta that
+  /// references a variable eliminated at an earlier depth transparently
+  /// RESURRECTS it (the variable is re-created in the sink and its
+  /// removed-clause kit is re-emitted before the delta, restoring every
+  /// deleted constraint).  Deltas are computed (and cached) once per
+  /// depth, race-wide, so every consumer sees the identical stream.
+  /// Thread-safe.
+  void replay_simplified_delta(int f, ClauseTape::Cursor& cursor,
+                               ClauseSink& out);
+
   /// Replays the PREPROCESSED formula of depth k into a fresh consumer
-  /// (the cursor must not have replayed anything yet: the simplified
-  /// stream is per-depth, not incremental).  Kept tape variables are
-  /// created in tape order so their sink numbering matches a plain
-  /// replay's relative order; eliminated variables occupy a
-  /// sat::kVarUndef slot in the var_map and never reach the sink.  The
-  /// simplification runs (and is cached) once per depth, race-wide.
+  /// (the cursor must not have replayed anything yet): deltas 0..k in
+  /// order, under one lock.  Eliminated variables occupy a
+  /// sat::kVarUndef slot in the var_map and never reach the sink.
   /// Thread-safe.
   void replay_simplified_to(int k, ClauseTape::Cursor& cursor,
                             ClauseSink& out);
 
-  /// Replays the PREPROCESSED DELTA of depth f — the clauses frame f
-  /// added on top of frame f-1, simplified against everything already
-  /// replayed — into an incremental consumer whose cursor is parked at
-  /// depth f-1's mark (or fresh, for f = 0).  Unlike
-  /// replay_simplified_to, the simplification state is cumulative: root
-  /// facts from earlier deltas seed the pass, the VarRemapper witness
-  /// stack is shared across depths, and a delta that references a
-  /// variable eliminated at an earlier depth transparently RESURRECTS
-  /// it (the variable is re-created in the sink and its removed-clause
-  /// kit is re-emitted before the delta, restoring every deleted
-  /// constraint).  Deltas are computed (and cached) once per depth,
-  /// race-wide, so every incremental consumer sees the identical
-  /// stream.  Thread-safe.
-  void replay_simplified_delta(int f, ClauseTape::Cursor& cursor,
-                               ClauseSink& out);
-
-  /// Preprocessing counters for depth k (runs the cached pass first).
+  /// Preprocessing counters of the depth-k scratch formula: counts
+  /// summed over deltas 0..k (so clauses_out == simplified_clauses_at(k)),
+  /// preprocess_us of delta k's pass alone — the time spent at depth k.
   PreprocessStats preprocess_stats_at(int k);
-  /// Preprocessing counters for depth k's incremental DELTA (runs the
-  /// cached delta passes up to k first).
+  /// Preprocessing counters of depth k's delta pass alone.
   PreprocessStats incremental_preprocess_stats_at(int k);
-  /// The cumulative incremental remapper as of depth k's delta (witness
-  /// stack for model completion across depths): exactly the elimination
-  /// state a consumer that replayed deltas 0..k is solving under, even
-  /// when a faster consumer has already advanced the cumulative state
-  /// past k.  Returned by value (snapshot).
-  VarRemapper incremental_remapper_at(int k);
-  /// Clause count of the simplified formula at depth k — what a
-  /// preprocessed scratch consumer's solver must end up holding (the
-  /// session asserts the round trip).
+  /// Clause count of the simplified formula at depth k (deltas 0..k) —
+  /// what a preprocessed scratch consumer's solver must end up holding
+  /// (the session asserts the round trip).
   std::size_t simplified_clauses_at(int k);
-  /// The remapper of depth k (witness stack for model completion).
-  /// Returned by value: the per-depth cache may reallocate as deeper
-  /// frames are simplified.
+  /// The witness stack (for model completion) of a consumer that
+  /// replayed deltas 0..k, scratch or incremental: exactly the
+  /// elimination state as of depth k, even when a faster consumer has
+  /// already advanced the cumulative state past k.  Returned by value
+  /// (snapshot).
   VarRemapper remapper_at(int k);
 
   // Tape-space literals (ensure_depth is implied); translate through a
@@ -251,10 +244,10 @@ class SharedTape {
   // ---- space accounting -----------------------------------------------
   /// Cold storage: when on, each depth's event prefix is frozen (codec-
   /// encoded, raw words dropped) as the next depth is encoded, and the
-  /// consumed SimplifiedDepth/IncDelta caches are kept encoded too,
-  /// decoding on replay.  Representation-only — replay streams are
-  /// bit-identical either way — so it is excluded from
-  /// api::config_fingerprint.  Applies to depths encoded after the call.
+  /// cached delta clauses are kept encoded too, decoding on replay.
+  /// Representation-only — replay streams are bit-identical either way
+  /// — so it is excluded from api::config_fingerprint.  Applies to
+  /// depths encoded after the call.
   void set_cold_storage(bool on);
   bool cold_storage() const;
 
@@ -271,31 +264,22 @@ class SharedTape {
 
  private:
   void ensure_locked(int k);
-  void ensure_simplified_locked(int k);
-  void ensure_inc_delta_locked(int f);
+  void ensure_delta_locked(int f);
+  void replay_delta_locked(int f, ClauseTape::Cursor& cursor,
+                           ClauseSink& out) const;
   void build_frozen_locked(int k, std::size_t num_vars,
                            std::vector<char>& frozen) const;
   void recharge_locked();
 
-  /// One depth's cached simplification (clauses + remapper + stats).
-  /// Under cold storage the clause list is kept codec-encoded.
-  struct SimplifiedDepth {
-    bool ready = false;
-    SimplifyResult result;
-    std::size_t clause_count = 0;
-    std::vector<std::uint8_t> cold;  // encoded result.clauses
-    bool is_cold = false;
-  };
-
-  /// One depth's cached incremental delta: the variables resurrected
-  /// for it, which of its new variables survived, and the simplified
-  /// delta clauses (kit clauses included), all in tape space.
-  /// Consumers replay deltas strictly in depth order, so caching makes
-  /// the stream identical race-wide — and each delta snapshots the
-  /// remapper as of its own depth, so a consumer completing a model at
-  /// depth k is immune to faster consumers advancing the cumulative
-  /// state past k.
-  struct IncDelta {
+  /// One depth's cached delta: the variables resurrected for it, which
+  /// of its new variables survived, the simplified delta clauses (kit
+  /// clauses included) and the witnesses of its own eliminations, all in
+  /// tape space.  Consumers replay deltas strictly in depth order, so
+  /// caching makes the stream identical race-wide — and remapper_at(k)
+  /// rebuilds the witness stack from deltas 0..k alone, so a consumer
+  /// completing a model at depth k is immune to faster consumers
+  /// advancing the cumulative state past k.
+  struct Delta {
     bool ready = false;
     std::vector<sat::Var> resurrected;       // sink creation order
     std::vector<char> kept_new;              // per var in (prev, mark]
@@ -303,7 +287,7 @@ class SharedTape {
     std::vector<std::uint8_t> cold;          // encoded `clauses` (cold mode)
     bool is_cold = false;
     PreprocessStats stats;
-    VarRemapper remap_after;                 // cumulative, as of this depth
+    std::vector<VarRemapper::Witness> eliminated;  // this pass's, in order
   };
 
   mutable std::mutex mu_;
@@ -315,19 +299,18 @@ class SharedTape {
   FrameEncoder encoder_;
   std::vector<ClauseTape::Mark> depth_marks_;  // per encoded depth
   std::vector<EncodeStats> depth_stats_;       // cumulative per depth
-  std::vector<SimplifiedDepth> simplified_;    // per depth, lazy
-  // Cumulative incremental preprocessing state (delta mode): witness
-  // stack shared across depths + root facts carried forward.
-  std::vector<IncDelta> inc_deltas_;           // per depth, lazy
-  VarRemapper inc_remap_{0};
-  std::vector<sat::lbool> inc_assigned_;       // per tape var
+  // Cumulative preprocessing state: witness stack shared across depths
+  // + root facts carried forward.
+  std::vector<Delta> deltas_;                  // per depth, lazy
+  VarRemapper remap_{0};
+  std::vector<sat::lbool> assigned_;           // per tape var
 
   // Space accounting (PR 10): cold-storage switch, netlist-derived
   // per-frame reserve estimate, and the footprint charged to `mem_`.
   bool cold_ = false;
   std::size_t est_ops_frame_ = 0;
   std::size_t est_lits_frame_ = 0;
-  std::size_t cache_bytes_ = 0;   // SimplifiedDepth/IncDelta payloads
+  std::size_t cache_bytes_ = 0;   // cached delta payloads
   std::size_t last_charged_ = 0;  // last value pushed to mem_
   MemTracker* mem_ = nullptr;
 };

@@ -47,7 +47,7 @@ namespace {
 
 std::string node_name(const Netlist& net, NodeId id) {
   if (!net.name(id).empty()) return net.name(id);
-  return "n" + std::to_string(id);
+  return std::string(1, 'n').append(std::to_string(id));
 }
 
 void write_edge(std::ostream& out, const Netlist& net, Signal from,

@@ -76,7 +76,7 @@ enum class EventKind : std::uint16_t {
   RankPublish,     // core merged into SharedRankSource    depth = from depth,
                    //                                      value = new epoch
   // preprocessing / inprocessing (PR 7).
-  SpanPreprocess,  // tape CNF simplification for one depth value = clauses out
+  SpanPreprocess,  // tape CNF simplification for one depth value = clauses in
   SpanVivify,      // one restart-boundary vivify pass     value = clauses shortened
 };
 

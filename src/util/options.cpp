@@ -25,7 +25,7 @@ Options Options::parse(int argc, const char* const* argv) {
     if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       opts.values_[arg] = argv[++i];
     } else {
-      opts.values_[arg] = "1";
+      opts.values_[arg].assign(1, '1');
     }
   }
   return opts;

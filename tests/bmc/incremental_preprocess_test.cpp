@@ -4,8 +4,9 @@
 // across every knob combination; the bit-identity test pins the
 // contract that both knobs off IS the PR 7 pipeline, counter for
 // counter; the witness test drives the shared tape directly and proves
-// a counter-example model of the delta-simplified formula recompletes
-// over variables BVE eliminated at earlier depths.
+// a counter-example model of the delta-simplified formula, replayed by
+// an incremental or a scratch consumer, recompletes over variables BVE
+// eliminated at earlier depths.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -133,8 +134,9 @@ TEST(IncrementalPreprocessTest, WitnessRecompletesAcrossDepthDeltas) {
   // must extend — through the cumulative witness stack — to a model of
   // the ORIGINAL tape formula, including variables BVE eliminated at
   // depths < k.  Drives SharedTape directly: one identity consumer
-  // collects the unsimplified clauses, a solver consumer replays the
-  // simplified deltas.
+  // collects the unsimplified clauses; solver consumers replay the
+  // simplified deltas one depth at a time (incremental) or 0..k at once
+  // into a fresh solver (scratch).
   struct CollectSink final : public ClauseSink {
     std::vector<std::vector<sat::Lit>> clauses;
     sat::Var next = 0;
@@ -159,39 +161,46 @@ TEST(IncrementalPreprocessTest, WitnessRecompletesAcrossDepthDeltas) {
   CollectSink original;
   tape.replay_to(k, id_cursor, original);
 
-  // Simplified consumer: replay the per-depth deltas 0..k.
-  sat::Solver solver;
-  std::vector<VarOrigin> origin;
-  SolverSink sink(solver, origin);
-  ClauseTape::Cursor cursor;
-  for (int f = 0; f <= k; ++f) tape.replay_simplified_delta(f, cursor, sink);
-
-  const VarRemapper remap = tape.incremental_remapper_at(k);
+  const VarRemapper remap = tape.remapper_at(k);
   ASSERT_GT(remap.num_eliminated(), 0u);  // the test must not be vacuous
-  ASSERT_EQ(solver.solve({cursor.translate(tape.property(k))}),
-            sat::Result::Sat);
 
-  // Lift the solver model back to tape space (eliminated slots undef),
-  // then let the witness stack fill in the eliminated variables.
-  std::vector<sat::lbool> values(
-      static_cast<std::size_t>(remap.num_vars()), sat::l_Undef);
-  for (std::size_t t = 0; t < cursor.var_map.size(); ++t) {
-    if (cursor.var_map[t] == sat::kVarUndef) continue;
-    values[t] = solver.model_value(cursor.var_map[t]);
-  }
-  remap.complete_model(values);
-
-  for (const auto& clause : original.clauses) {
-    bool satisfied = false;
-    for (const sat::Lit l : clause) {
-      const sat::lbool v = values[static_cast<std::size_t>(l.var())];
-      if ((v ^ l.negated()) == sat::l_True) {
-        satisfied = true;
-        break;
-      }
+  for (const bool scratch : {false, true}) {
+    SCOPED_TRACE(scratch ? "scratch" : "incremental");
+    sat::Solver solver;
+    std::vector<VarOrigin> origin;
+    SolverSink sink(solver, origin);
+    ClauseTape::Cursor cursor;
+    if (scratch) {
+      tape.replay_simplified_to(k, cursor, sink);
+    } else {
+      for (int f = 0; f <= k; ++f)
+        tape.replay_simplified_delta(f, cursor, sink);
     }
-    EXPECT_TRUE(satisfied);
-    if (!satisfied) break;  // one counter-example clause is enough
+    ASSERT_EQ(solver.solve({cursor.translate(tape.property(k))}),
+              sat::Result::Sat);
+
+    // Lift the solver model back to tape space (eliminated slots undef),
+    // then let the witness stack fill in the eliminated variables.
+    std::vector<sat::lbool> values(
+        static_cast<std::size_t>(remap.num_vars()), sat::l_Undef);
+    for (std::size_t t = 0; t < cursor.var_map.size(); ++t) {
+      if (cursor.var_map[t] == sat::kVarUndef) continue;
+      values[t] = solver.model_value(cursor.var_map[t]);
+    }
+    remap.complete_model(values);
+
+    for (const auto& clause : original.clauses) {
+      bool satisfied = false;
+      for (const sat::Lit l : clause) {
+        const sat::lbool v = values[static_cast<std::size_t>(l.var())];
+        if ((v ^ l.negated()) == sat::l_True) {
+          satisfied = true;
+          break;
+        }
+      }
+      EXPECT_TRUE(satisfied);
+      if (!satisfied) break;  // one counter-example clause is enough
+    }
   }
 }
 

@@ -14,6 +14,7 @@
 #include "bmc/engine.hpp"
 #include "bmc/tape.hpp"
 #include "model/benchgen.hpp"
+#include "obs/trace.hpp"
 #include "sat/solver.hpp"
 
 namespace refbmc::bmc {
@@ -188,6 +189,8 @@ TEST(PreprocessTest, WitnessCompletionExtendsAnySimplifiedModel) {
 // ---- SharedTape integration ----------------------------------------------
 
 TEST(PreprocessTapeTest, SimplifiedReplayShrinksAndIsDeterministic) {
+  // The scratch stream of depth k is the cached per-frame deltas 0..k:
+  // its clause count and counters are the deltas' sums.
   const auto bm = model::fifo_safe(3);
   PreprocessOptions po;
   po.enabled = true;
@@ -202,6 +205,13 @@ TEST(PreprocessTapeTest, SimplifiedReplayShrinksAndIsDeterministic) {
   const PreprocessStats ps = tape.preprocess_stats_at(k);
   EXPECT_GT(ps.vars_eliminated, 0u);
   EXPECT_EQ(ps.clauses_out, simplified);
+  std::size_t delta_out = 0;
+  for (int f = 0; f <= k; ++f)
+    delta_out += tape.incremental_preprocess_stats_at(f).clauses_out;
+  EXPECT_EQ(delta_out, simplified);
+  // The time is the depth-k pass alone, not the prefix's.
+  EXPECT_EQ(ps.preprocess_us,
+            tape.incremental_preprocess_stats_at(k).preprocess_us);
 
   // Two fresh consumers replay identical streams: same var_map, same
   // solver shape — the shard-group "one formula, many solvers" premise.
@@ -217,6 +227,16 @@ TEST(PreprocessTapeTest, SimplifiedReplayShrinksAndIsDeterministic) {
   // cache reports (the scratch session asserts the same invariant).
   EXPECT_EQ(s1.num_original_clauses(), simplified);
 
+  // An incremental consumer that replayed the same deltas one depth at a
+  // time holds the same formula.
+  sat::Solver s3;
+  std::vector<VarOrigin> o3;
+  SolverSink sink3(s3, o3);
+  ClauseTape::Cursor c3;
+  for (int f = 0; f <= k; ++f) tape.replay_simplified_delta(f, c3, sink3);
+  EXPECT_EQ(c3.var_map, c1.var_map);
+  EXPECT_EQ(s3.num_original_clauses(), simplified);
+
   // Eliminated variables occupy kVarUndef slots; kept ones translate.
   const VarRemapper remap = tape.remapper_at(k);
   ASSERT_EQ(c1.var_map.size(), static_cast<std::size_t>(remap.num_vars()));
@@ -226,9 +246,90 @@ TEST(PreprocessTapeTest, SimplifiedReplayShrinksAndIsDeterministic) {
     EXPECT_EQ(c1.var_map[v] == sat::kVarUndef, !kept) << v;
     undef_slots += c1.var_map[v] == sat::kVarUndef;
   }
+  EXPECT_GT(undef_slots, 0u);
   EXPECT_EQ(undef_slots, remap.num_eliminated());
   // The property literal rides a frozen variable and must translate.
   EXPECT_NE(c1.translate(tape.property(k)).var(), sat::kVarUndef);
+}
+
+TEST(PreprocessTapeTest, RemapperAtIsImmuneToDeeperDeltas) {
+  // remapper_at(k) is the witness stack of a consumer that replayed
+  // deltas 0..k, whether or not deeper deltas have since eliminated or
+  // resurrected variables.
+  const auto bm = model::fifo_safe(3);
+  PreprocessOptions po;
+  po.enabled = true;
+  const int k = 4;
+  const int deeper = k + 6;
+  SharedTape at_k(bm.net, 0, {}, po);
+  SharedTape ahead(bm.net, 0, {}, po);
+  const VarRemapper a = at_k.remapper_at(k);
+  const VarRemapper late = ahead.remapper_at(deeper);
+  const VarRemapper b = ahead.remapper_at(k);
+
+  ASSERT_EQ(a.num_vars(), b.num_vars());
+  ASSERT_GT(a.num_eliminated(), 0u);
+  ASSERT_EQ(a.num_eliminated(), b.num_eliminated());
+  for (std::size_t i = 0; i < a.num_eliminated(); ++i) {
+    EXPECT_EQ(a.witnesses()[i].lit, b.witnesses()[i].lit) << i;
+    EXPECT_EQ(a.witnesses()[i].clauses, b.witnesses()[i].clauses) << i;
+    EXPECT_EQ(a.witnesses()[i].removed, b.witnesses()[i].removed) << i;
+  }
+  // Not vacuous: a deeper delta resurrected something eliminated by k.
+  bool resurrected_later = false;
+  for (int v = 0; v < a.num_vars(); ++v) {
+    const auto var = static_cast<sat::Var>(v);
+    EXPECT_EQ(a.is_kept(var), b.is_kept(var)) << v;
+    resurrected_later |= !a.is_kept(var) && late.is_kept(var);
+  }
+  EXPECT_TRUE(resurrected_later);
+}
+
+TEST(PreprocessTapeTest, ScratchPassWorkIsLinearInDepth) {
+#if !REFBMC_TRACE
+  GTEST_SKIP() << "reads the preprocess spans; tracing is compiled out";
+#endif
+  // A scratch consumer per depth 0..K.  Each frame's clauses go through
+  // the pass once (plus the resurrection kits re-admitted with them), so
+  // the clauses consumed over the whole run stay linear in the formula
+  // size; re-simplifying the k-frame prefix at every depth k would sum
+  // to about K/2 times the depth-K formula.
+  const auto bm = model::fifo_safe(3);
+  const int K = 20;
+  PreprocessOptions po;
+  po.enabled = true;
+  SharedTape tape(bm.net, 0, {}, po);
+
+  ASSERT_TRUE(obs::trace_begin());
+  for (int k = 0; k <= K; ++k) {
+    sat::Solver solver;
+    std::vector<VarOrigin> origin;
+    SolverSink sink(solver, origin);
+    ClauseTape::Cursor cursor;
+    tape.replay_simplified_to(k, cursor, sink);
+  }
+  const obs::TraceDump dump = obs::trace_end();
+  std::uint64_t consumed = 0;
+  int passes = 0;
+  for (const obs::TrackDump& track : dump.tracks) {
+    EXPECT_EQ(track.dropped, 0u);
+    for (const obs::TraceEvent& e : track.events) {
+      if (e.kind != obs::EventKind::SpanPreprocess) continue;
+      consumed += static_cast<std::uint64_t>(e.value);
+      ++passes;
+    }
+  }
+  EXPECT_EQ(passes, K + 1);
+
+  // Kit clauses: what the delta passes took in beyond the tape's own.
+  const std::uint64_t tape_clauses = tape.mark_at(K).clauses;
+  std::uint64_t delta_in = 0;
+  for (int f = 0; f <= K; ++f)
+    delta_in += tape.incremental_preprocess_stats_at(f).clauses_in;
+  ASSERT_GE(delta_in, tape_clauses);
+  const std::uint64_t kits = delta_in - tape_clauses;
+  EXPECT_LE(consumed, 2 * tape_clauses + kits)
+      << "tape " << tape_clauses << " kits " << kits;
 }
 
 TEST(PreprocessTapeTest, SimplifiedFormulaKeepsVerdicts) {

@@ -233,7 +233,7 @@ TEST(ClauseTapeColdTest, FreezePrefixIsInvisibleToReplay) {
 
   // Mid-range reads crossing the frozen/raw boundary must also agree.
   std::vector<std::vector<sat::Lit>> exported;
-  tape.export_clauses(end, exported);
+  tape.export_clauses_range(ClauseTape::Mark{}, end, exported);
   EXPECT_EQ(exported, reference.clauses);
 }
 
